@@ -6,9 +6,9 @@
 //! * [`legacy_replay`] — the pre-epoch-cache engine, reimplemented
 //!   verbatim: a fresh `policy.allocate` per reallocation and a full
 //!   per-step recompute of `cluster_loads` / `distance_samples` with
-//!   per-step accounting. This is the same reference loop the core
-//!   crate's `proptest_epoch_equivalence` test pins bit-identity
-//!   against; here it serves as the timing baseline.
+//!   per-step accounting. This is the reference loop the
+//!   `proptest_epoch_equivalence` test pins bit-identity against; here
+//!   it also serves as the timing baseline.
 //! * [`cached_replay`] — the shipping engine, whose allocation-epoch
 //!   cache folds everything constant between reallocations into
 //!   precomputed per-cluster constants.

@@ -9,7 +9,10 @@
 //! demand). The batch [`Simulation`](crate::simulation::Simulation) drivers
 //! replay a whole trace through `tick` and are bit-identical to the
 //! pre-tick-core loop; the `routed` daemon calls it from a wall-clock ingest
-//! loop instead.
+//! loop instead. The shards of a
+//! [`HierarchicalReplay`](crate::hierarchy::HierarchicalReplay) are engines
+//! too, driven a whole allocation epoch per call and with bounded load
+//! storage — the only replay core in the crate.
 //!
 //! The accumulated router state is a value: [`SimulationEngine::snapshot`]
 //! captures it, [`SimulationEngine::restore`] reinstates it (into the same
@@ -31,7 +34,7 @@ use wattroute_market::time::SimHour;
 use wattroute_routing::allocation::Allocation;
 use wattroute_routing::constraints::OverflowMode;
 use wattroute_routing::policy::{RoutingContext, RoutingPolicy};
-use wattroute_stats::{quantiles, OnlineStats};
+use wattroute_stats::{OnlineStats, SampleReservoir};
 use wattroute_workload::trace::STEP_SECONDS;
 use wattroute_workload::ClusterSet;
 
@@ -84,15 +87,23 @@ pub struct EngineSnapshot {
     last_alloc_hour: SimHour,
     clamped_lead_hours: u64,
     cost: Vec<f64>,
-    energy_wh: Vec<f64>,
+    pub(crate) energy_wh: Vec<f64>,
     hits: Vec<f64>,
     overflow_hits: Vec<f64>,
     rejected_hits: Vec<f64>,
     binding_steps: Vec<usize>,
-    load_series: Vec<Vec<f64>>,
-    util_stats: Vec<OnlineStats>,
+    /// Per-cluster load series (hits/second per step), exact unless the
+    /// engine bounds its load storage (see [`UNBOUNDED`]).
+    load_series: Vec<SampleReservoir>,
+    /// Per-cluster running peak load: exact even once a reservoir decimates.
+    load_peak: Vec<f64>,
+    pub(crate) util_stats: Vec<OnlineStats>,
     distances: DistanceHistogram,
 }
+
+/// Load-storage capacity of an engine that keeps every step's load (the
+/// default): its reservoirs never decimate, so percentiles stay exact.
+const UNBOUNDED: usize = usize::MAX;
 
 /// Sentinel for "no allocation cached yet" (matches the batch loop's
 /// initial `last_alloc_hour`).
@@ -122,7 +133,8 @@ impl EngineSnapshot {
             overflow_hits: vec![0.0; n_clusters],
             rejected_hits: vec![0.0; n_clusters],
             binding_steps: vec![0; n_clusters],
-            load_series: vec![Vec::new(); n_clusters],
+            load_series: vec![SampleReservoir::new(UNBOUNDED); n_clusters],
+            load_peak: vec![0.0; n_clusters],
             util_stats: vec![OnlineStats::new(); n_clusters],
             distances: DistanceHistogram::default_resolution(),
         }
@@ -147,6 +159,11 @@ impl EngineSnapshot {
     /// The encoding is lossless: [`Self::from_json_value`] reproduces the
     /// snapshot exactly, so a run resumed from the decoded snapshot stays
     /// bit-identical to an uninterrupted one.
+    ///
+    /// `load_series` holds each cluster's retained loads. Only once a
+    /// bounded engine's reservoir has decimated does the encoding add a
+    /// `load_reservoir` object (capacity, per-cluster stride, offer count
+    /// and peak); until then the retained loads are the whole series.
     pub fn to_json_value(&self) -> JsonValue {
         let mut fields = vec![
             ("step", JsonValue::Number(self.step as f64)),
@@ -164,11 +181,27 @@ impl EngineSnapshot {
             ),
             (
                 "load_series",
-                JsonValue::Array(self.load_series.iter().map(|s| json::number_array(s)).collect()),
+                JsonValue::Array(
+                    self.load_series.iter().map(|r| json::number_array(r.samples())).collect(),
+                ),
             ),
             ("util_stats", JsonValue::Array(self.util_stats.iter().map(stats_to_json).collect())),
             ("distances", self.distances.to_json_value()),
         ];
+        if self.load_series.iter().any(SampleReservoir::is_decimated) {
+            let numbers = |f: fn(&SampleReservoir) -> f64| {
+                JsonValue::Array(self.load_series.iter().map(|r| JsonValue::Number(f(r))).collect())
+            };
+            fields.push((
+                "load_reservoir",
+                json::object([
+                    ("capacity", JsonValue::Number(self.load_series[0].capacity() as f64)),
+                    ("stride", numbers(|r| r.stride() as f64)),
+                    ("seen", numbers(|r| r.seen() as f64)),
+                    ("peak", json::number_array(&self.load_peak)),
+                ]),
+            ));
+        }
         if let Some(name) = &self.policy_name {
             fields.push(("policy", JsonValue::String(name.clone())));
         }
@@ -189,7 +222,7 @@ impl EngineSnapshot {
         let rejected_hits = f64_vec(v, "rejected_hits")?;
         let binding_steps: Vec<usize> =
             f64_vec(v, "binding_steps")?.into_iter().map(|b| b as usize).collect();
-        let load_series = v
+        let load_samples = v
             .get("load_series")
             .and_then(JsonValue::as_array)
             .ok_or_else(|| ReportDecodeError::new("snapshot field 'load_series' is not an array"))?
@@ -221,7 +254,7 @@ impl EngineSnapshot {
             ("overflow_hits", overflow_hits.len()),
             ("rejected_hits", rejected_hits.len()),
             ("binding_steps", binding_steps.len()),
-            ("load_series", load_series.len()),
+            ("load_series", load_samples.len()),
             ("util_stats", util_stats.len()),
         ] {
             if len != n {
@@ -230,6 +263,7 @@ impl EngineSnapshot {
                 )));
             }
         }
+        let (load_series, load_peak) = decode_load_storage(v, load_samples)?;
         let cached_allocation = match v.get("allocation") {
             Some(a) => Some(allocation_from_json(a, n)?),
             None => None,
@@ -267,6 +301,7 @@ impl EngineSnapshot {
             rejected_hits,
             binding_steps,
             load_series,
+            load_peak,
             util_stats,
             distances: DistanceHistogram::from_json_value(
                 v.get("distances")
@@ -274,6 +309,46 @@ impl EngineSnapshot {
             )?,
         })
     }
+}
+
+/// Rebuild the per-cluster load reservoirs and peaks from the retained
+/// `load_series` samples and, once a reservoir has decimated, the
+/// `load_reservoir` object. Without that object every reservoir is an
+/// undecimated, unbounded one and each peak is its series' maximum.
+fn decode_load_storage(
+    v: &JsonValue,
+    samples: Vec<Vec<f64>>,
+) -> Result<(Vec<SampleReservoir>, Vec<f64>), ReportDecodeError> {
+    let Some(bounded) = v.get("load_reservoir") else {
+        let peak = samples.iter().map(|s| s.iter().copied().fold(0.0, f64::max)).collect();
+        let reservoirs = samples
+            .into_iter()
+            .map(|s| {
+                let seen = s.len() as u64;
+                SampleReservoir::from_parts(UNBOUNDED, 1, seen, s).expect("one sample per offer")
+            })
+            .collect();
+        return Ok((reservoirs, peak));
+    };
+    let capacity = u64_field(bounded, "capacity")? as usize;
+    let field = |key: &str| {
+        f64_vec(bounded, key).ok().filter(|xs| xs.len() == samples.len()).ok_or_else(|| {
+            ReportDecodeError::new(format!(
+                "snapshot load_reservoir field '{key}' is not one number per cluster"
+            ))
+        })
+    };
+    let (strides, seen, peak) = (field("stride")?, field("seen")?, field("peak")?);
+    let reservoirs = samples
+        .into_iter()
+        .zip(strides.iter().zip(&seen))
+        .map(|(s, (&stride, &seen))| {
+            SampleReservoir::from_parts(capacity, stride as usize, seen as u64, s).ok_or_else(
+                || ReportDecodeError::new("snapshot load_reservoir state is inconsistent"),
+            )
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((reservoirs, peak))
 }
 
 fn u64_field(v: &JsonValue, key: &str) -> Result<u64, ReportDecodeError> {
@@ -377,7 +452,8 @@ fn allocation_from_json(v: &JsonValue, n_clusters: usize) -> Result<Allocation, 
 /// binding-cap flags, or the distance-sample set — only dollars vary, and
 /// only hourly through `prices.billing`. Caching these collapses the
 /// per-step accumulate phase to a tight add-scaled-constants loop with no
-/// heap allocation and no haversine walk.
+/// heap allocation and no haversine walk, and lets
+/// [`SimulationEngine::advance`] account a whole epoch in one call.
 ///
 /// The cache is *derived* state: it lives on the engine, not in
 /// [`EngineSnapshot`], and is rebuilt from the cached allocation whenever
@@ -413,6 +489,7 @@ pub struct SimulationEngine<'a> {
     config: SimulationConfig,
     power_models: Vec<ClusterPowerModel>,
     capacities: Vec<f64>,
+    load_capacity: usize,
     state: EngineSnapshot,
     epoch: EpochCache,
 }
@@ -442,9 +519,26 @@ impl<'a> SimulationEngine<'a> {
             config,
             power_models,
             capacities,
+            load_capacity: UNBOUNDED,
             state,
             epoch: EpochCache::default(),
         }
+    }
+
+    /// Bound each cluster's stored load series to `capacity` samples
+    /// (minimum 2): percentiles stay exact until a series outgrows it and
+    /// are then taken over a deterministic uniform subsample, while the
+    /// peak stays exact. Engines keep every sample unless bounded here.
+    ///
+    /// # Panics
+    /// Panics once the engine has ticked.
+    pub(crate) fn with_load_capacity(mut self, capacity: usize) -> Self {
+        assert_eq!(self.state.step, 0, "bound the load storage before the first tick");
+        self.load_capacity = capacity.max(2);
+        for reservoir in &mut self.state.load_series {
+            reservoir.set_capacity(self.load_capacity);
+        }
+        self
     }
 
     /// Record how many leading hours of the price feed are delay-clamped
@@ -509,14 +603,50 @@ impl<'a> SimulationEngine<'a> {
         prices: PriceSlice<'_>,
         demand: DemandSlice<'_>,
     ) -> &Allocation {
+        self.advance(policy, prices, demand, 1);
+        self.state.cached_allocation.as_ref().expect("populated by advance")
+    }
+
+    /// Advance the engine through one allocation epoch: the next step,
+    /// re-routing on it exactly as [`Self::tick`] would, plus every
+    /// following step up to `max_steps` in total that would not
+    /// re-route — that is, up to the next multiple of the reallocation
+    /// interval. Returns the number of steps advanced (at least 1).
+    ///
+    /// The caller promises that all `max_steps` steps fall in `prices`'
+    /// hour; `demand` is the first step's, the only one the policy sees.
+    /// The result is bit-identical to that many [`Self::tick`] calls:
+    /// every per-cluster add and push still happens once per step in step
+    /// order, and distance samples are added step by step. Telemetry
+    /// counts one allocation-cache miss or hit per step; the phase spans
+    /// time the whole epoch.
+    ///
+    /// # Panics
+    /// Panics if the slice lengths do not match the engine's cluster and
+    /// state counts, or if `max_steps` is zero.
+    pub(crate) fn advance(
+        &mut self,
+        policy: &mut dyn RoutingPolicy,
+        prices: PriceSlice<'_>,
+        demand: DemandSlice<'_>,
+        max_steps: usize,
+    ) -> usize {
+        assert!(max_steps > 0, "an advance covers at least one step");
+        let i = self.state.step;
+        let interval = self.config.reallocate_every_steps;
+        // The epoch ends before the next step that re-routes on the
+        // interval; the caller bounds it to the hour.
+        let steps = max_steps.min(interval - i % interval);
         // The epoch cache made a steady-state tick cheap enough that
         // opening duration spans on *every* step would alone blow the <5%
-        // enabled-telemetry budget, so the per-tick phase histograms
-        // (including `engine.tick.realloc`, which fires per tick at the
-        // default one-step reallocation interval) sample one step in
-        // [`SPAN_SAMPLE_EVERY`] — deterministically, so step 0, and hence
-        // any run, always records. Counters stay exact every tick.
-        let sampled = self.state.step % SPAN_SAMPLE_EVERY == 0;
+        // enabled-telemetry budget, so the phase histograms (including
+        // `engine.tick.realloc`, which fires per tick at the default
+        // one-step reallocation interval) sample one tick in
+        // [`SPAN_SAMPLE_EVERY`], and an epoch advance samples one
+        // reallocation interval in as many — deterministically, so step 0,
+        // and hence any run, always records. Counters stay exact every step.
+        let sample_unit = if max_steps == 1 { 1 } else { interval };
+        let sampled = (i / sample_unit) % SPAN_SAMPLE_EVERY == 0;
         let _tick_span = if sampled {
             wattroute_obs::span!("engine.tick")
         } else {
@@ -536,24 +666,25 @@ impl<'a> SimulationEngine<'a> {
         if st.policy_name.is_none() {
             st.policy_name = Some(policy.name().to_string());
         }
-        let i = st.step;
         let hour = prices.hour;
 
         // Re-route on the configured interval, and additionally whenever
         // the step crosses an hour boundary: prices change hourly, so a
         // cached allocation carried across hours would route on the
         // previous hour's prices.
-        let reallocate = st.cached_allocation.is_none()
-            || i % self.config.reallocate_every_steps == 0
-            || hour != st.last_alloc_hour;
+        let reallocate =
+            st.cached_allocation.is_none() || i % interval == 0 || hour != st.last_alloc_hour;
         if wattroute_obs::Telemetry::enabled() {
             // Allocation-reuse visibility: a "miss" runs the policy, a
             // "hit" serves the step from the cached allocation. Gated so
-            // the disabled hot path stays at one relaxed load per tick.
+            // the disabled hot path stays at one relaxed load per advance.
             if reallocate {
                 wattroute_obs::counter!("engine.alloc_cache.misses").inc();
             } else {
                 wattroute_obs::counter!("engine.alloc_cache.hits").inc();
+            }
+            if steps > 1 {
+                wattroute_obs::counter!("engine.alloc_cache.hits").add(steps as u64 - 1);
             }
         }
         if reallocate {
@@ -634,13 +765,17 @@ impl<'a> SimulationEngine<'a> {
             epoch.valid = true;
         }
 
-        // The per-step accumulate phase: add the epoch's precomputed
-        // constants. Dollars are the one quantity that varies within an
-        // epoch — billing prices change hourly (and an epoch never straddles
-        // an hour, since an hour change forces a reallocation). Adding the
-        // zero overflow/rejected entries unconditionally is bitwise-exact:
-        // the accumulators are never negative, and `x + 0.0 == x` for every
-        // non-negative `x`.
+        // The accumulate phase: add the epoch's precomputed constants once
+        // per step. Dollars vary only hourly with `prices.billing`, and an
+        // epoch never straddles an hour (an hour change forces a
+        // reallocation), so the per-step dollars are one constant too.
+        // Site-major order keeps each cluster's accumulators in registers
+        // across the epoch's steps; every add and push still happens once
+        // per step in step order, so each cluster sees exactly the float
+        // operations of `steps` single ticks (clusters share no state).
+        // Adding the zero overflow/rejected entries unconditionally is
+        // bitwise-exact: the accumulators are never negative, and
+        // `x + 0.0 == x` for every non-negative `x`.
         let _accumulate_span = if sampled {
             wattroute_obs::span!("engine.tick.accumulate")
         } else {
@@ -648,24 +783,43 @@ impl<'a> SimulationEngine<'a> {
         };
         let epoch = &self.epoch;
         for c in 0..n_clusters {
-            st.energy_wh[c] += epoch.wh_step[c];
-            st.cost[c] += energy_cost_dollars(epoch.wh_step[c], prices.billing[c]);
-            st.hits[c] += epoch.hits_step[c];
-            st.overflow_hits[c] += epoch.overflow_step[c];
-            st.rejected_hits[c] += epoch.rejected_step[c];
-            st.util_stats[c].push(epoch.util[c]);
-            st.load_series[c].push(epoch.loads[c]);
+            let per_step = [
+                epoch.wh_step[c],
+                energy_cost_dollars(epoch.wh_step[c], prices.billing[c]),
+                epoch.hits_step[c],
+                epoch.overflow_step[c],
+                epoch.rejected_step[c],
+            ];
+            let mut acc =
+                [st.energy_wh[c], st.cost[c], st.hits[c], st.overflow_hits[c], st.rejected_hits[c]];
+            let (util, load) = (epoch.util[c], epoch.loads[c]);
+            let (stats, reservoir) = (&mut st.util_stats[c], &mut st.load_series[c]);
+            for _ in 0..steps {
+                for (sum, add) in acc.iter_mut().zip(per_step) {
+                    *sum += add;
+                }
+                stats.push(util);
+                reservoir.push(load);
+            }
+            [st.energy_wh[c], st.cost[c], st.hits[c], st.overflow_hits[c], st.rejected_hits[c]] =
+                acc;
+            st.load_peak[c] = st.load_peak[c].max(load);
             if epoch.binding[c] {
-                st.binding_steps[c] += 1;
+                // Integer steps sum exactly, so the whole epoch lands at once.
+                st.binding_steps[c] += steps;
             }
         }
 
-        for &(distance_km, weight) in &epoch.samples {
-            st.distances.add(distance_km, weight * STEP_SECONDS as f64);
+        // Distance weights accumulate per step (adding w once per step is
+        // not float-equal to adding n·w once), in step-then-sample order.
+        for _ in 0..steps {
+            for &(distance_km, weight) in &epoch.samples {
+                st.distances.add(distance_km, weight * STEP_SECONDS as f64);
+            }
         }
 
-        st.step += 1;
-        st.cached_allocation.as_ref().expect("populated above")
+        st.step += steps;
+        steps
     }
 
     /// Assemble a [`SimulationReport`] from the state accumulated so far.
@@ -681,14 +835,14 @@ impl<'a> SimulationEngine<'a> {
         let labels = cluster_labels(self.clusters);
         let clusters = (0..n_clusters)
             .map(|c| {
-                let p95 = quantiles::percentile(&st.load_series[c], 95.0).unwrap_or(0.0);
+                let p95 = st.load_series[c].percentile(95.0).unwrap_or(0.0);
                 ClusterReport {
                     label: labels[c].clone(),
                     cost_dollars: st.cost[c],
                     energy_mwh: st.energy_wh[c] / 1.0e6,
                     mean_utilization: st.util_stats[c].mean().unwrap_or(0.0),
                     p95_hits_per_sec: p95,
-                    peak_hits_per_sec: st.load_series[c].iter().copied().fold(0.0, f64::max),
+                    peak_hits_per_sec: st.load_peak[c],
                     total_hits: st.hits[c],
                     overflow_hits: st.overflow_hits[c],
                     rejected_hits: st.rejected_hits[c],
@@ -749,6 +903,15 @@ impl<'a> SimulationEngine<'a> {
             );
         }
         self.state = snapshot.clone();
+        // Load-storage capacity is engine configuration, not run state: a
+        // snapshot whose reservoirs never decimated does not record it.
+        for reservoir in &mut self.state.load_series {
+            assert!(
+                reservoir.samples().len() <= self.load_capacity,
+                "snapshot load series exceed the engine's load capacity"
+            );
+            reservoir.set_capacity(self.load_capacity);
+        }
         // The epoch cache describes the *previous* cached allocation; the
         // next tick rebuilds it from the restored one. The rebuild depends
         // only on the allocation and run constants, so a mid-epoch restore
@@ -761,7 +924,12 @@ impl<'a> SimulationEngine<'a> {
     /// resolution) — what a [`LoadRecorder`](crate::simulation::LoadRecorder)
     /// sink receives from the batch drivers.
     pub fn into_load_series(self) -> Vec<Vec<f64>> {
-        self.state.load_series
+        self.state.load_series.into_iter().map(SampleReservoir::into_samples).collect()
+    }
+
+    /// Consume the engine, yielding its accumulated state without a copy.
+    pub(crate) fn into_snapshot(self) -> EngineSnapshot {
+        self.state
     }
 }
 
@@ -769,18 +937,47 @@ impl<'a> SimulationEngine<'a> {
 mod tests {
     use super::*;
     use wattroute_market::generator::PriceGenerator;
+    use wattroute_market::price_table::PriceTable;
     use wattroute_market::time::HourRange;
     use wattroute_routing::prelude::*;
+    use wattroute_workload::trace::Trace;
     use wattroute_workload::SyntheticWorkloadConfig;
 
-    fn setup() -> (ClusterSet, wattroute_workload::trace::Trace, wattroute_market::types::PriceSet)
-    {
+    fn setup() -> (ClusterSet, Trace, PriceTable) {
+        setup_hours(24)
+    }
+
+    fn setup_hours(hours: u64) -> (ClusterSet, Trace, PriceTable) {
         let clusters = ClusterSet::akamai_like_nine();
         let start = SimHour::from_date(2008, 12, 19);
-        let range = HourRange::new(start, start.plus_hours(24));
+        let range = HourRange::new(start, start.plus_hours(hours));
         let trace = SyntheticWorkloadConfig::default().generate(range);
         let prices = PriceGenerator::nine_cluster_default(7).realtime_hourly(range);
-        (clusters, trace, prices)
+        let table = PriceTable::build(&prices, &clusters.hub_ids(), range, 0);
+        (clusters, trace, table)
+    }
+
+    /// Tick `engine` through the trace's steps in `steps`.
+    fn drive(
+        engine: &mut SimulationEngine<'_>,
+        policy: &mut dyn RoutingPolicy,
+        trace: &Trace,
+        table: &PriceTable,
+        steps: std::ops::Range<usize>,
+    ) {
+        for i in steps {
+            let hour = trace.step_hour(i);
+            let allocation = engine.tick(
+                policy,
+                PriceSlice::new(
+                    hour,
+                    table.delayed_at(hour).unwrap(),
+                    table.billing_at(hour).unwrap(),
+                ),
+                DemandSlice::new(&trace.steps()[i].us_demand),
+            );
+            assert_eq!(allocation.num_clusters(), engine.clusters().len());
+        }
     }
 
     #[test]
@@ -798,31 +995,11 @@ mod tests {
 
     #[test]
     fn tick_accumulates_and_reports() {
-        let (clusters, trace, prices) = setup();
-        let sim = crate::simulation::Simulation::new(
-            &clusters,
-            &trace,
-            &prices,
-            SimulationConfig::default(),
-        );
-        let table = sim.price_table();
+        let (clusters, trace, table) = setup();
         let mut engine =
             SimulationEngine::new(&clusters, &trace.states, SimulationConfig::default())
                 .with_clamped_lead_hours(table.clamped_lead_hours());
-        let mut policy = NearestClusterPolicy::new();
-        for (i, step) in trace.steps().iter().enumerate() {
-            let hour = trace.step_hour(i);
-            let allocation = engine.tick(
-                &mut policy,
-                PriceSlice::new(
-                    hour,
-                    table.delayed_at(hour).unwrap(),
-                    table.billing_at(hour).unwrap(),
-                ),
-                DemandSlice::new(&step.us_demand),
-            );
-            assert_eq!(allocation.num_clusters(), clusters.len());
-        }
+        drive(&mut engine, &mut NearestClusterPolicy::new(), &trace, &table, 0..trace.num_steps());
         assert_eq!(engine.steps(), trace.num_steps());
         assert_eq!(engine.last_allocation_hour(), Some(trace.step_hour(trace.num_steps() - 1)));
         let report = engine.report();
@@ -832,35 +1009,62 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_json() {
-        let (clusters, trace, prices) = setup();
-        let sim = crate::simulation::Simulation::new(
-            &clusters,
-            &trace,
-            &prices,
-            SimulationConfig::default(),
-        );
-        let table = sim.price_table();
+        let (clusters, trace, table) = setup();
         let mut engine =
             SimulationEngine::new(&clusters, &trace.states, SimulationConfig::default());
         let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
-        for (i, step) in trace.steps().iter().enumerate().take(30) {
-            let hour = trace.step_hour(i);
-            engine.tick(
-                &mut policy,
-                PriceSlice::new(
-                    hour,
-                    table.delayed_at(hour).unwrap(),
-                    table.billing_at(hour).unwrap(),
-                ),
-                DemandSlice::new(&step.us_demand),
-            );
-        }
+        drive(&mut engine, &mut policy, &trace, &table, 0..30);
         let snapshot = engine.snapshot();
         let json = snapshot.to_json_value().to_string();
         let decoded = EngineSnapshot::from_json_value(&JsonValue::parse(&json).unwrap()).unwrap();
         assert_eq!(decoded, snapshot);
         assert_eq!(decoded.steps(), 30);
         assert_eq!(decoded.policy_name(), Some(policy.name()));
+        assert!(!json.contains("load_reservoir"), "unbounded storage never decimates");
+    }
+
+    #[test]
+    fn decimated_snapshot_round_trips_and_resumes_bit_identical() {
+        let (clusters, trace, table) = setup_hours(6);
+        let n = trace.num_steps();
+        let bounded = || {
+            SimulationEngine::new(&clusters, &trace.states, SimulationConfig::default())
+                .with_load_capacity(8)
+        };
+        let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
+        let mut uninterrupted = bounded();
+        drive(&mut uninterrupted, &mut policy, &trace, &table, 0..n);
+
+        // Before the first decimation the encoding is the unbounded one.
+        let mut early = bounded();
+        drive(&mut early, &mut policy, &trace, &table, 0..8);
+        let mut exact =
+            SimulationEngine::new(&clusters, &trace.states, SimulationConfig::default());
+        drive(&mut exact, &mut policy, &trace, &table, 0..8);
+        assert_eq!(early.snapshot().to_json_value(), exact.snapshot().to_json_value());
+        // The peak stays exact through decimation.
+        drive(&mut exact, &mut policy, &trace, &table, 8..n);
+        for (b, e) in uninterrupted.report().clusters.iter().zip(&exact.report().clusters) {
+            assert_eq!(b.peak_hits_per_sec, e.peak_hits_per_sec);
+        }
+
+        for (split, decimated) in [(8, false), (40, true)] {
+            let mut first = bounded();
+            drive(&mut first, &mut policy, &trace, &table, 0..split);
+            let snapshot = first.snapshot();
+            let json = snapshot.to_json_value().to_string();
+            assert_eq!(json.contains("load_reservoir"), decimated);
+            let decoded =
+                EngineSnapshot::from_json_value(&JsonValue::parse(&json).unwrap()).unwrap();
+            if decimated {
+                assert_eq!(decoded, snapshot, "a decimated snapshot decodes losslessly");
+            }
+            let mut resumed = bounded();
+            resumed.restore(&decoded);
+            drive(&mut resumed, &mut policy, &trace, &table, split..n);
+            assert_eq!(resumed.snapshot(), uninterrupted.snapshot());
+            assert_eq!(resumed.report(), uninterrupted.report());
+        }
     }
 
     #[test]

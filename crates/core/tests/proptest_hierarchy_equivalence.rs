@@ -10,13 +10,14 @@
 //!    trivial embedding's report carries no `tiers`, so even the encoded
 //!    text is identical).
 //! 2. **Sharded ≡ sequential** — per-region worker threads change nothing:
-//!    the merged report equals the sequential region loop's exactly.
+//!    the merged report equals the sequential region loop's exactly, with
+//!    exact per-site load reservoirs or decimating ones.
 //! 3. **Tier conservation** — [`TierLoads`] aggregation and the report's
 //!    tier rollup conserve hits, energy and cost at every tier, whatever
 //!    the tree shape, policy, or constraint regime.
 
 use proptest::prelude::*;
-use wattroute::hierarchy::HierarchicalReplay;
+use wattroute::hierarchy::{HierarchicalReplay, DEFAULT_RESERVOIR_CAPACITY};
 use wattroute::prelude::*;
 use wattroute_geo::topology::Topology;
 use wattroute_market::generator::PriceGenerator;
@@ -77,6 +78,9 @@ proptest! {
         slack in prop::sample::select(vec![f64::INFINITY, 1.2, 0.8]),
         realloc in prop::sample::select(vec![1usize, 12]),
         threshold in prop::sample::select(vec![-1.0f64, 1500.0]),
+        // Two days are 576 steps: capacities 2 and 64 decimate every
+        // site's load reservoir, the default keeps it exact.
+        reservoir in prop::sample::select(vec![2usize, 64, DEFAULT_RESERVOIR_CAPACITY]),
     ) {
         let mut topology = Topology::synthetic(seed, n_sites);
         if slack.is_finite() {
@@ -88,7 +92,8 @@ proptest! {
             .realtime_hourly(range);
         let config = SimulationConfig::default().with_reallocation_interval(realloc);
 
-        let replay = HierarchicalReplay::new(&topology, &trace, &prices, config);
+        let replay = HierarchicalReplay::new(&topology, &trace, &prices, config)
+            .with_reservoir_capacity(reservoir);
         let sequential = replay.run(&move || policy_for(threshold));
         let sharded = replay.run_sharded(&move || policy_for(threshold));
 

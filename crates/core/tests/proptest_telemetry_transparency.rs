@@ -9,11 +9,14 @@
 //! `WATTROUTE_TELEMETRY=1` and diff against the same fixtures: telemetry
 //! observes the engine, it never steers it.
 //!
-//! Single-test binary: the enabled flag and the trace sink are process
-//! globals, so this test must not share a process with tests that assume
-//! telemetry is off (see the `[[test]]` entry in `Cargo.toml`).
+//! The enabled flag and the trace sink are process globals, so this file
+//! runs in a binary of its own (see the `[[test]]` entry in `Cargo.toml`),
+//! and its two properties hold [`serial`] for each whole case: under the
+//! default parallel test runner one property's `Telemetry::disable` would
+//! otherwise land in the middle of the other's fully-on run.
 
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use wattroute::hierarchy::HierarchicalReplay;
 use wattroute::prelude::*;
 use wattroute_market::time::{HourRange, SimHour};
@@ -32,6 +35,13 @@ fn policy_for(threshold: f64) -> Box<dyn RoutingPolicy> {
     } else {
         Box::new(PriceConsciousPolicy::with_distance_threshold(threshold))
     }
+}
+
+/// Serialize the properties: each case holds the guard from its
+/// telemetry-off run through its telemetry-on run.
+fn serial() -> MutexGuard<'static, ()> {
+    static TELEMETRY: Mutex<()> = Mutex::new(());
+    TELEMETRY.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Run `f` with telemetry fully on: spans enabled and a JSONL trace sink
@@ -63,6 +73,7 @@ proptest! {
         // -1 encodes the Akamai-like baseline policy.
         threshold in prop::sample::select(vec![-1.0f64, 0.0, 1500.0, f64::INFINITY]),
     ) {
+        let _serial = serial();
         let mut scenario = Scenario::custom_window(seed, window(days));
         scenario.config = scenario
             .config
@@ -93,6 +104,7 @@ proptest! {
         realloc in prop::sample::select(vec![1usize, 12]),
         threshold in prop::sample::select(vec![-1.0f64, 1500.0]),
     ) {
+        let _serial = serial();
         let mut scenario = Scenario::custom_window(seed, window(days));
         scenario.config = scenario.config.with_reallocation_interval(realloc);
         let topology = single_region_of(&scenario.clusters);

@@ -144,7 +144,7 @@ impl OnlineStats {
 /// A small reservoir that keeps *all* samples up to a cap, after which it
 /// keeps a uniformly-spaced subsample. Exact percentiles for bounded runs,
 /// bounded memory for very long runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SampleReservoir {
     cap: usize,
     stride: usize,
@@ -156,6 +156,43 @@ impl SampleReservoir {
     /// Create a reservoir that holds at most `cap` samples (`cap >= 2`).
     pub fn new(cap: usize) -> Self {
         Self { cap: cap.max(2), stride: 1, seen: 0, samples: Vec::new() }
+    }
+
+    /// Rebuild a reservoir from the parts its accessors expose (for
+    /// lossless serialization). Returns `None` for parts no sequence of
+    /// pushes can produce: a capacity below 2, a stride that is not a
+    /// power of two, more samples than the capacity, or a sample count
+    /// other than one per `stride` offers.
+    pub fn from_parts(cap: usize, stride: usize, seen: u64, samples: Vec<f64>) -> Option<Self> {
+        let valid = cap >= 2
+            && stride.is_power_of_two()
+            && samples.len() <= cap
+            && samples.len() as u64 == seen.div_ceil(stride as u64);
+        valid.then_some(Self { cap, stride, seen, samples })
+    }
+
+    /// The most samples the reservoir retains.
+    pub fn capacity(&self) -> usize {
+        self.cap
+    }
+
+    /// Change the capacity (minimum 2). Retained samples are kept; the new
+    /// capacity applies from the next push, which decimates if the
+    /// reservoir is already at or over it.
+    pub fn set_capacity(&mut self, cap: usize) {
+        self.cap = cap.max(2);
+    }
+
+    /// The current sampling stride: 1 until the first decimation, then
+    /// doubling with each one.
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Whether the reservoir has dropped samples (its percentiles are then
+    /// approximate).
+    pub fn is_decimated(&self) -> bool {
+        self.stride > 1
     }
 
     /// Offer a sample to the reservoir.
@@ -196,6 +233,11 @@ impl SampleReservoir {
     /// The retained samples (unsorted).
     pub fn samples(&self) -> &[f64] {
         &self.samples
+    }
+
+    /// Consume the reservoir, yielding the retained samples.
+    pub fn into_samples(self) -> Vec<f64> {
+        self.samples
     }
 
     /// Approximate percentile (exact while under the cap).
@@ -313,6 +355,23 @@ mod tests {
         // Median of 0..100k should still be roughly 50k.
         let med = r.percentile(50.0).unwrap();
         assert!((med - 50_000.0).abs() < 5_000.0, "median drifted: {med}");
+    }
+
+    #[test]
+    fn reservoir_parts_round_trip() {
+        let mut r = SampleReservoir::new(8);
+        for i in 0..37 {
+            r.push(i as f64);
+        }
+        assert!(r.is_decimated());
+        let rebuilt =
+            SampleReservoir::from_parts(r.capacity(), r.stride(), r.seen(), r.samples().to_vec())
+                .expect("parts of a real reservoir are valid");
+        assert_eq!(rebuilt, r);
+        assert!(SampleReservoir::from_parts(1, 1, 0, Vec::new()).is_none());
+        assert!(SampleReservoir::from_parts(8, 3, 9, vec![0.0; 3]).is_none());
+        assert!(SampleReservoir::from_parts(8, 1, 2, vec![0.0; 3]).is_none());
+        assert!(SampleReservoir::from_parts(2, 1, 3, vec![0.0; 3]).is_none());
     }
 
     #[test]
