@@ -29,7 +29,7 @@ use crate::report::{
 use crate::simulation::SimulationConfig;
 use wattroute_energy::cost::energy_cost_dollars;
 use wattroute_energy::model::ClusterPowerModel;
-use wattroute_geo::UsState;
+use wattroute_geo::{hubs, state_to_hub_km, UsState};
 use wattroute_market::time::SimHour;
 use wattroute_routing::allocation::Allocation;
 use wattroute_routing::constraints::OverflowMode;
@@ -489,6 +489,10 @@ pub struct SimulationEngine<'a> {
     config: SimulationConfig,
     power_models: Vec<ClusterPowerModel>,
     capacities: Vec<f64>,
+    /// Cluster-major `clusters × states` population-weighted distances,
+    /// computed once so an epoch refresh reads its distance samples
+    /// instead of recomputing one haversine per served pair.
+    state_to_hub_km: Vec<f64>,
     load_capacity: usize,
     state: EngineSnapshot,
     epoch: EpochCache,
@@ -512,6 +516,11 @@ impl<'a> SimulationEngine<'a> {
             .map(|c| ClusterPowerModel::new(config.energy, c.servers))
             .collect();
         let capacities = clusters.clusters().iter().map(|c| c.capacity_hits_per_sec()).collect();
+        let mut distances = Vec::with_capacity(clusters.len() * states.len());
+        for cluster in clusters.clusters() {
+            let hub = hubs::hub(cluster.hub);
+            distances.extend(states.iter().map(|&s| state_to_hub_km(s, hub)));
+        }
         let state = EngineSnapshot::empty(clusters.len());
         Self {
             clusters,
@@ -519,6 +528,7 @@ impl<'a> SimulationEngine<'a> {
             config,
             power_models,
             capacities,
+            state_to_hub_km: distances,
             load_capacity: UNBOUNDED,
             state,
             epoch: EpochCache::default(),
@@ -715,7 +725,7 @@ impl<'a> SimulationEngine<'a> {
             let allocation = st.cached_allocation.as_ref().expect("just populated");
             let epoch = &mut self.epoch;
             allocation.cluster_loads_into(&mut epoch.loads);
-            allocation.distance_samples_into(self.clusters, self.states, &mut epoch.samples);
+            allocation.distance_samples_into(&self.state_to_hub_km, &mut epoch.samples);
             epoch.util.clear();
             epoch.wh_step.clear();
             epoch.hits_step.clear();

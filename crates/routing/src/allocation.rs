@@ -139,24 +139,11 @@ impl Allocation {
     /// returned so callers can accumulate 99th percentiles across steps
     /// (Figure 17).
     pub fn distance_samples(&self, clusters: &ClusterSet, states: &[UsState]) -> Vec<(f64, f64)> {
-        let mut samples = Vec::new();
-        self.distance_samples_into(clusters, states, &mut samples);
-        samples
-    }
-
-    /// [`Self::distance_samples`] into a caller-owned buffer (cleared
-    /// first), so per-epoch accounting loops can reuse one allocation.
-    pub fn distance_samples_into(
-        &self,
-        clusters: &ClusterSet,
-        states: &[UsState],
-        samples: &mut Vec<(f64, f64)>,
-    ) {
         assert_eq!(self.num_clusters(), clusters.len(), "cluster count mismatch");
         assert_eq!(self.num_states(), states.len(), "state count mismatch");
-        samples.clear();
+        let mut samples = Vec::new();
         if self.num_states == 0 {
-            return;
+            return samples;
         }
         for (c, row) in self.loads.chunks_exact(self.num_states).enumerate() {
             let hub = hubs::hub(clusters.get(c).expect("validated").hub);
@@ -166,6 +153,25 @@ impl Allocation {
                 }
             }
         }
+        samples
+    }
+
+    /// [`Self::distance_samples`] into a caller-owned buffer (cleared
+    /// first), reading distances from a precomputed cluster-major
+    /// `state_to_hub_km` matrix (entry `cluster * num_states + state`, the
+    /// layout of this allocation) instead of computing one per served pair.
+    /// Per-epoch accounting loops build the matrix once per run and reuse
+    /// one sample buffer.
+    pub fn distance_samples_into(&self, state_to_hub_km: &[f64], samples: &mut Vec<(f64, f64)>) {
+        assert_eq!(state_to_hub_km.len(), self.loads.len(), "distance matrix shape mismatch");
+        samples.clear();
+        samples.extend(
+            self.loads
+                .iter()
+                .zip(state_to_hub_km)
+                .filter(|(load, _)| **load > 0.0)
+                .map(|(&load, &km)| (km, load)),
+        );
     }
 
     /// Demand-weighted mean client–server distance in km, or `None` if the
@@ -261,6 +267,33 @@ mod tests {
         assert!(mean_local < 300.0, "local mean {mean_local}");
         assert!(mean_remote > 1500.0, "remote mean {mean_remote}");
         assert!(local.distance_samples(&clusters, &states).len() == 2);
+    }
+
+    #[test]
+    fn matrix_fed_distance_samples_match_per_pair_distances() {
+        let clusters = ClusterSet::akamai_like_nine();
+        let states: Vec<UsState> = UsState::all().collect();
+        // Zero and non-zero entries across all nine clusters.
+        let mut a = Allocation::zeros(clusters.len(), states.len());
+        for c in 0..clusters.len() {
+            for s in (c % 3..states.len()).step_by(3 + c % 2) {
+                a.add(c, s, 1.0 + (c * states.len() + s) as f64 * 0.5);
+            }
+        }
+        let matrix: Vec<f64> = clusters
+            .clusters()
+            .iter()
+            .flat_map(|c| states.iter().map(|&s| state_to_hub_km(s, hubs::hub(c.hub))))
+            .collect();
+        let mut samples = vec![(-1.0, -1.0)];
+        a.distance_samples_into(&matrix, &mut samples);
+        let reference = a.distance_samples(&clusters, &states);
+        assert!(reference.len() > clusters.len() && reference.len() < matrix.len());
+        assert_eq!(samples.len(), reference.len());
+        for (got, want) in samples.iter().zip(&reference) {
+            assert_eq!(got.0.to_bits(), want.0.to_bits());
+            assert_eq!(got.1.to_bits(), want.1.to_bits());
+        }
     }
 
     #[test]

@@ -191,6 +191,61 @@ struct RankScratch {
     rest: Vec<RankedHub>,
 }
 
+/// Per-state preference orders, valid for one price row under one
+/// configuration. The paper's router ranks by delayed *hourly* prices, but
+/// the engine re-routes every step, so most reallocations see the row the
+/// previous one ranked: only the capacity pour (demand moves every step)
+/// has to run again.
+///
+/// Slots fill lazily, when the pour asks for a state's order, so states
+/// with no demand this row (every state a hierarchy shard does not own) are
+/// never ranked. The key is exactly the ranking's inputs besides the
+/// geometry — the price row and both thresholds, compared bitwise — and the
+/// policy clears the cache whenever it re-derives the threshold split, which
+/// every geometry change (a recompile or an attach) forces.
+#[derive(Debug, Clone, Default)]
+struct RankCache {
+    /// Bit patterns of the price row the slots were ranked under.
+    prices: Vec<u64>,
+    /// Bit patterns of `(distance_threshold_km, price_threshold)`.
+    config: (u64, u64),
+    /// Whether the key above is set; `false` until the first call and
+    /// after [`Self::clear`].
+    keyed: bool,
+    /// `n_states × n_clusters` preference orders, state-major.
+    orders: Vec<usize>,
+    /// Per state: whether its slot in `orders` holds the keyed ranking.
+    filled: Vec<bool>,
+}
+
+impl RankCache {
+    /// Forget every slot: the next call re-keys and re-ranks on demand.
+    fn clear(&mut self) {
+        self.keyed = false;
+    }
+
+    /// Make the cache valid for this call's price row and configuration,
+    /// returning whether it already was (a hit).
+    fn key(&mut self, config: &PriceConsciousConfig, prices: &[f64], n_states: usize) -> bool {
+        let config = (config.distance_threshold_km.to_bits(), config.price_threshold.to_bits());
+        if self.keyed
+            && self.config == config
+            && self.prices.len() == prices.len()
+            && self.prices.iter().zip(prices).all(|(a, b)| *a == b.to_bits())
+        {
+            return true;
+        }
+        self.prices.clear();
+        self.prices.extend(prices.iter().map(|p| p.to_bits()));
+        self.config = config;
+        self.keyed = true;
+        self.orders.resize(n_states * prices.len(), 0);
+        self.filled.clear();
+        self.filled.resize(n_states, false);
+        false
+    }
+}
+
 /// The distance-constrained electricity price optimizer.
 #[derive(Debug, Clone, Default)]
 pub struct PriceConsciousPolicy {
@@ -211,6 +266,8 @@ pub struct PriceConsciousPolicy {
     workspace: AssignWorkspace,
     /// Price re-ranking scratch reused across states and reallocations.
     scratch: RankScratch,
+    /// Preference orders ranked under the last price row seen.
+    ranks: RankCache,
 }
 
 impl PriceConsciousPolicy {
@@ -311,10 +368,8 @@ impl RoutingPolicy for PriceConsciousPolicy {
     }
 
     fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
-        if !self.compiled.as_ref().is_some_and(|c| c.matches(ctx)) {
-            self.compiled = Some(Arc::new(CompiledPreferences::build(ctx.clusters, ctx.states)));
+        if ensure_compiled(&mut self.compiled, &mut self.own_geometry_builds, ctx) {
             self.split = None;
-            self.own_geometry_builds += 1;
         }
         let threshold = self.config.distance_threshold_km;
         if !self.split.as_ref().is_some_and(|s| s.distance_threshold_km == threshold) {
@@ -323,11 +378,31 @@ impl RoutingPolicy for PriceConsciousPolicy {
                 distance_threshold_km: threshold,
                 per_state: compiled.threshold_split(threshold),
             });
+            self.ranks.clear();
         }
-        let Self { config, split, workspace, scratch, .. } = self;
+        let hit = self.ranks.key(&self.config, ctx.prices, ctx.states.len());
+        if wattroute_obs::Telemetry::enabled() {
+            if hit {
+                wattroute_obs::counter!("routing.rank_cache.hits").inc();
+            } else {
+                wattroute_obs::counter!("routing.rank_cache.misses").inc();
+            }
+        }
+        let Self { config, split, workspace, scratch, ranks, .. } = self;
         let split = split.as_ref().expect("derived above");
+        let n_clusters = ctx.clusters.len();
+        // The pour runs every call (demand moves every step); a state's
+        // ranking runs at most once per price row.
         assign_by_preference_into(ctx, workspace, out, |state_idx, _, buf| {
-            preference_order_into(config, ctx.prices, &split.per_state[state_idx], scratch, buf);
+            let slot = &mut ranks.orders[state_idx * n_clusters..(state_idx + 1) * n_clusters];
+            if ranks.filled[state_idx] {
+                buf.extend_from_slice(slot);
+            } else {
+                let entry = &split.per_state[state_idx];
+                preference_order_into(config, ctx.prices, entry, scratch, buf);
+                slot.copy_from_slice(buf);
+                ranks.filled[state_idx] = true;
+            }
         });
     }
 
@@ -498,6 +573,42 @@ mod tests {
         policy.config.distance_threshold_km = 50_000.0;
         let far = policy.allocate(&c);
         assert_eq!(far.matrix()[austin][0], 1000.0, "the new threshold must take effect");
+    }
+
+    #[test]
+    fn mutating_the_price_threshold_on_the_same_row_reranks() {
+        // The rank cache is keyed on the configuration as well as the price
+        // row: a changed price threshold must not reuse the cached orders.
+        let clusters = ClusterSet::akamai_like_nine();
+        let states = [UsState::MA];
+        let demand = [1000.0];
+        let boston = clusters.index_of_hub(HubId::BostonMa).unwrap();
+        let nyc = clusters.index_of_hub(HubId::NewYorkNy).unwrap();
+        let mut prices = nine_prices(60.0);
+        prices[boston] = 50.0;
+        prices[nyc] = 47.0;
+        let c = ctx(&clusters, &states, &demand, &prices);
+        let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
+        assert_eq!(policy.allocate(&c).matrix()[boston][0], 1000.0, "$3 is below $5");
+        policy.config.price_threshold = 1.0;
+        assert_eq!(policy.allocate(&c).matrix()[nyc][0], 1000.0, "$3 is above $1");
+    }
+
+    #[test]
+    fn a_new_deployment_on_the_same_price_row_reranks() {
+        // The same price row over a reordered deployment recompiles the
+        // geometry; orders ranked for the old cluster indices must go.
+        let nine = ClusterSet::akamai_like_nine();
+        let reversed = ClusterSet::new(nine.clusters().iter().rev().cloned().collect::<Vec<_>>());
+        let states: Vec<UsState> = UsState::all().collect();
+        let demand: Vec<f64> = (0..states.len()).map(|i| 100.0 + 37.0 * i as f64).collect();
+        let prices: Vec<f64> = (0..9).map(|i| 30.0 + 11.0 * i as f64).collect();
+        let mut policy = PriceConsciousPolicy::default();
+        let _ = policy.allocate(&ctx(&nine, &states, &demand, &prices));
+        let c = ctx(&reversed, &states, &demand, &prices);
+        let cached = policy.allocate(&c);
+        assert_eq!(policy.own_geometry_builds(), 2);
+        assert_eq!(cached, PriceConsciousPolicy::default().allocate(&c));
     }
 
     #[test]

@@ -6,10 +6,11 @@
 use proptest::prelude::*;
 use wattroute_geo::UsState;
 use wattroute_market::time::SimHour;
+use wattroute_routing::allocation::Allocation;
 use wattroute_routing::baseline::{NearestClusterPolicy, StaticCheapestPolicy};
 use wattroute_routing::constraints::{ConstraintSet, OverflowMode};
 use wattroute_routing::policy::{RoutingContext, RoutingPolicy};
-use wattroute_routing::price_conscious::PriceConsciousPolicy;
+use wattroute_routing::price_conscious::{PriceConsciousConfig, PriceConsciousPolicy};
 use wattroute_workload::ClusterSet;
 
 const N_CLUSTERS: usize = 9;
@@ -28,6 +29,62 @@ fn prices() -> impl Strategy<Value = Vec<f64>> {
 fn demand_weights() -> impl Strategy<Value = Vec<f64>> {
     let n = states().len();
     prop::collection::vec(0.0f64..1.0, n..n + 1)
+}
+
+/// Per-state demand weights where roughly a third of the states offer
+/// nothing — the shape a hierarchy shard routes (it zeroes every state it
+/// does not own) and the case a lazily filled per-state cache must handle.
+fn sparse_demand_weights() -> impl Strategy<Value = Vec<f64>> {
+    let n = states().len();
+    let weight = (0.0f64..1.0, 0.0f64..1.0).prop_map(|(u, w)| if u < 1.0 / 3.0 { 0.0 } else { w });
+    prop::collection::vec(weight, n..n + 1)
+}
+
+/// One routing call of a long-lived policy: which pooled price row it
+/// sees, its demand, and the configurations it is routed under in turn —
+/// all on that same row, so a configuration change between calls that
+/// share a price row is exercised every time more than one is drawn.
+#[derive(Debug, Clone)]
+struct Call {
+    row: usize,
+    weights: Vec<f64>,
+    fill: f64,
+    configs: Vec<PriceConsciousConfig>,
+}
+
+/// Distinct random price rows drawn per case; the pool adds one more.
+const POOL_ROWS: usize = 3;
+
+/// `POOL_ROWS` random price rows plus a copy of the first with one
+/// cluster's price cut below every other, so a cache key that compares
+/// anything less than the whole row would route that copy with stale
+/// orders.
+fn price_pool() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (prop::collection::vec(prices(), POOL_ROWS..POOL_ROWS + 1), 0..N_CLUSTERS, -60.0f64..-25.0)
+        .prop_map(|(mut pool, cluster, cut)| {
+            let mut variant = pool[0].clone();
+            variant[cluster] = cut;
+            pool.push(variant);
+            pool
+        })
+}
+
+fn call() -> impl Strategy<Value = Call> {
+    let config = (
+        prop::sample::select(vec![0.0, 800.0, 1500.0, 50_000.0]),
+        prop::sample::select(vec![0.0, 5.0, 25.0]),
+    )
+        .prop_map(|(distance_threshold_km, price_threshold)| PriceConsciousConfig {
+            distance_threshold_km,
+            price_threshold,
+        });
+    (0..POOL_ROWS + 1, sparse_demand_weights(), 0.05f64..1.3, prop::collection::vec(config, 1..4))
+        .prop_map(|(row, weights, fill, configs)| Call { row, weights, fill, configs })
+}
+
+/// Allocation entries as bit patterns, for bit-for-bit comparison.
+fn bits(allocation: &Allocation) -> Vec<u64> {
+    allocation.matrix().iter().flatten().map(|x| x.to_bits()).collect()
 }
 
 /// Scale raw weights so total demand is `fill` of the given total ceiling.
@@ -219,5 +276,39 @@ proptest! {
         let cold = fresh.allocate(&ctx);
         prop_assert_eq!(&first, &second);
         prop_assert_eq!(&first, &cold);
+    }
+
+    #[test]
+    fn cached_rankings_match_a_fresh_policy_bit_for_bit(
+        pool in price_pool(),
+        calls in prop::collection::vec(call(), 1..16),
+    ) {
+        // One long-lived policy routes the whole sequence into one reused
+        // allocation, as an engine drives it; every call must equal a
+        // fresh policy's answer for that call alone.
+        let clusters = ClusterSet::akamai_like_nine();
+        let states = states();
+        let total_cap: f64 =
+            clusters.clusters().iter().map(|c| c.capacity_hits_per_sec()).sum();
+        let mut cached = PriceConsciousPolicy::default();
+        let mut out = Allocation::default();
+        for (i, call) in calls.iter().enumerate() {
+            let demand = scale_demand(&call.weights, total_cap, call.fill);
+            let ctx =
+                RoutingContext::new(&clusters, &states, &demand, &pool[call.row], SimHour(0));
+            for config in &call.configs {
+                cached.config = *config;
+                cached.allocate_into(&mut out, &ctx);
+                let fresh = PriceConsciousPolicy::new(*config).allocate(&ctx);
+                prop_assert_eq!(
+                    bits(&out),
+                    bits(&fresh),
+                    "call {} on row {} under {:?}",
+                    i,
+                    call.row,
+                    config
+                );
+            }
+        }
     }
 }
