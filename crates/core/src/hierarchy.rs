@@ -3,14 +3,15 @@
 //! [`HierarchicalReplay`] is the tree-native counterpart of the flat batch
 //! [`Simulation`](crate::simulation::Simulation). It partitions a
 //! [`Topology`]'s sites by region, runs each region as a *shard* — a
-//! [`SimulationEngine`] over the region's sites and its slice of the
-//! constraint set — and replays the whole trace through every shard,
-//! either sequentially ([`HierarchicalReplay::run`]) or on scoped worker
-//! threads ([`HierarchicalReplay::run_sharded`]). A deterministic merge
-//! then folds the shard reports, in region order, into one
-//! [`SimulationReport`]: per-site [`ClusterReport`]s concatenate in global
-//! site order, distance histograms merge bin-wise, and tier rollups fold
-//! the sites' online utilization accumulators with [`OnlineStats::merge`].
+//! [`SimulationEngine`] over the region's sites, the client states it owns,
+//! and its slice of the constraint set — and replays the whole trace
+//! through every shard, either sequentially ([`HierarchicalReplay::run`])
+//! or on scoped worker threads ([`HierarchicalReplay::run_sharded`]). A
+//! deterministic merge then folds the shard reports, in region order, into
+//! one [`SimulationReport`]: per-site [`ClusterReport`]s concatenate in
+//! global site order, distance histograms merge bin-wise, and tier rollups
+//! fold the sites' online utilization accumulators with
+//! [`OnlineStats::merge`].
 //!
 //! Three equivalences are pinned by `tests/proptest_hierarchy_equivalence.rs`:
 //!
@@ -30,8 +31,13 @@
 //! All per-site accounting — power models, the overflow/reject split,
 //! binding-cap flags, dollars, the epoch cache — is the engine's; this
 //! module only partitions, looks up each hour's price column per site,
-//! masks demand to the region's states, and merges. A shard drives its
-//! engine one allocation epoch per call (the engine re-routes at least
+//! gathers the demand of the states each region owns, and merges. A shard
+//! never sees a state it does not own, so its per-epoch cost scales with
+//! its own states, not the whole trace's. Dropping the other states
+//! changes no bit: the pour skips zero demand and sorts states stably, and
+//! in the engine's loads and distance samples those states only ever
+//! contributed exact `+0.0` terms and skipped zero entries. A shard drives
+//! its engine one allocation epoch per call (the engine re-routes at least
 //! hourly, and billing prices only change hourly), so a 1000-site
 //! multi-year replay costs one reallocation plus pure accumulating adds
 //! per epoch, bit-identical to ticking every step. Shard engines bound
@@ -44,7 +50,7 @@ use crate::report::{
 };
 use crate::simulation::{step_coverage, SimulationConfig};
 use wattroute_geo::topology::Topology;
-use wattroute_geo::HubId;
+use wattroute_geo::{HubId, UsState};
 use wattroute_market::price_table::PriceTable;
 use wattroute_market::types::PriceSet;
 use wattroute_routing::constraints::{ConstraintSet, TierCaps};
@@ -64,12 +70,35 @@ pub type PolicyFactory<'f> = dyn Fn() -> Box<dyn RoutingPolicy> + Sync + 'f;
 /// beyond.
 pub const DEFAULT_RESERVOIR_CAPACITY: usize = 4096;
 
-/// One region's shard engine, finished: its report, plus its final state
-/// for the raw watt-hours and utilization accumulators the report only
-/// carries in rounded or summarised form.
+/// One region's shard engine, finished: its report, plus the raw
+/// watt-hours and utilization accumulators the report only carries in
+/// rounded or summarised form. The rest of the engine's final state (its
+/// load reservoirs above all) is dropped as soon as the shard ends.
 struct ShardResult {
     report: SimulationReport,
-    state: EngineSnapshot,
+    energy_wh: Vec<f64>,
+    util_stats: Vec<OnlineStats>,
+}
+
+/// One region's shard inputs that no pass changes, fixed when the replay is
+/// bound: the region's sites as a deployment, the client states it owns,
+/// its price-column map, and its slice of the constraint set.
+struct RegionPlan {
+    /// The region's sites, in global site order.
+    clusters: ClusterSet,
+    /// The client states this region owns, in trace order.
+    states: Vec<UsState>,
+    /// Trace index of each owned state, aligned with `states`.
+    state_idx: Vec<usize>,
+    /// One price column per *distinct* hub (sites share metros). For a
+    /// trivial embedding the distinct hubs are exactly the cluster-order
+    /// hub ids, so the compiled table matches the flat simulation's byte
+    /// for byte.
+    distinct_hubs: Vec<HubId>,
+    /// Site → column in `distinct_hubs`.
+    hub_row: Vec<usize>,
+    /// The region's slice of the global constraint set.
+    constraints: ConstraintSet,
 }
 
 /// A hierarchical batch replay: topology + trace + prices + configuration.
@@ -81,6 +110,8 @@ pub struct HierarchicalReplay<'a> {
     prices: &'a PriceSet,
     config: SimulationConfig,
     reservoir_capacity: usize,
+    /// Per region: its shard plan, `None` for a region without sites.
+    regions: Vec<Option<RegionPlan>>,
 }
 
 impl<'a> HierarchicalReplay<'a> {
@@ -88,6 +119,10 @@ impl<'a> HierarchicalReplay<'a> {
     /// with the topology's site order; if the topology carries tier caps
     /// and the configuration does not already hold a [`TierCaps`], they
     /// are lifted from the topology automatically.
+    ///
+    /// Every client state is owned by exactly one region
+    /// ([`Topology::assign_states`]); each region's shard routes only the
+    /// states it owns.
     ///
     /// # Panics
     /// Panics on an empty trace or on constraint vectors whose length does
@@ -105,7 +140,44 @@ impl<'a> HierarchicalReplay<'a> {
             }
         }
         config.constraints.validate(topology.num_sites());
-        Self { topology, trace, prices, config, reservoir_capacity: DEFAULT_RESERVOIR_CAPACITY }
+        let owners = topology.assign_states(&trace.states);
+        let sites = site_clusters(topology);
+        let regions = (0..topology.num_regions())
+            .map(|region| {
+                let (s0, s1) = topology.region_sites(region);
+                if s0 == s1 {
+                    return None;
+                }
+                let state_idx: Vec<usize> =
+                    (0..owners.len()).filter(|&j| owners[j] == region).collect();
+                let mut distinct_hubs: Vec<HubId> = Vec::new();
+                let hub_row = (s0..s1)
+                    .map(|s| {
+                        let hub = topology.site_hub(s);
+                        distinct_hubs.iter().position(|&h| h == hub).unwrap_or_else(|| {
+                            distinct_hubs.push(hub);
+                            distinct_hubs.len() - 1
+                        })
+                    })
+                    .collect();
+                Some(RegionPlan {
+                    clusters: ClusterSet::with_shared_hubs(sites.clusters()[s0..s1].to_vec()),
+                    states: state_idx.iter().map(|&j| trace.states[j]).collect(),
+                    state_idx,
+                    distinct_hubs,
+                    hub_row,
+                    constraints: slice_constraints(&config.constraints, topology, region),
+                })
+            })
+            .collect();
+        Self {
+            topology,
+            trace,
+            prices,
+            config,
+            reservoir_capacity: DEFAULT_RESERVOIR_CAPACITY,
+            regions,
+        }
     }
 
     /// Override the per-site load-series reservoir capacity (minimum 2).
@@ -124,9 +196,10 @@ impl<'a> HierarchicalReplay<'a> {
     /// Replay every region sequentially and merge. Bit-identical to
     /// [`Self::run_sharded`].
     pub fn run(&self, make_policy: &PolicyFactory<'_>) -> SimulationReport {
-        let owners = self.topology.assign_states(&self.trace.states);
-        let shards: Vec<Option<ShardResult>> = (0..self.topology.num_regions())
-            .map(|region| self.run_region(region, &owners, make_policy))
+        let shards: Vec<Option<ShardResult>> = self
+            .regions
+            .iter()
+            .map(|plan| plan.as_ref().map(|plan| self.run_region(plan, make_policy)))
             .collect();
         self.merge(shards)
     }
@@ -136,12 +209,13 @@ impl<'a> HierarchicalReplay<'a> {
     /// results in region index order, so the report is bit-identical to
     /// [`Self::run`].
     pub fn run_sharded(&self, make_policy: &PolicyFactory<'_>) -> SimulationReport {
-        let owners = self.topology.assign_states(&self.trace.states);
         let shards = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.topology.num_regions())
-                .map(|region| {
-                    let owners = &owners;
-                    scope.spawn(move || self.run_region(region, owners, make_policy))
+            let handles: Vec<_> = self
+                .regions
+                .iter()
+                .map(|plan| {
+                    scope
+                        .spawn(move || plan.as_ref().map(|plan| self.run_region(plan, make_policy)))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("shard thread panicked")).collect()
@@ -150,60 +224,29 @@ impl<'a> HierarchicalReplay<'a> {
     }
 
     /// Replay one region's shard — a [`SimulationEngine`] over the
-    /// region's sites and constraint slice — over the whole trace, one
-    /// allocation epoch per engine call. `None` for a region without sites.
-    fn run_region(
-        &self,
-        region: usize,
-        owners: &[usize],
-        make_policy: &PolicyFactory<'_>,
-    ) -> Option<ShardResult> {
+    /// region's sites, the states it owns, and its constraint slice — over
+    /// the whole trace, one allocation epoch per engine call.
+    fn run_region(&self, plan: &RegionPlan, make_policy: &PolicyFactory<'_>) -> ShardResult {
         let _shard_span = wattroute_obs::span!("hierarchy.shard");
-        let topology = self.topology;
-        let (s0, s1) = topology.region_sites(region);
-        if s0 == s1 {
-            return None;
-        }
         let trace = self.trace;
-        let states = &trace.states;
-
-        // Region-local deployment, in global site order restricted to the
-        // region's contiguous range.
-        let region_clusters =
-            ClusterSet::with_shared_hubs(site_clusters(topology).clusters()[s0..s1].to_vec());
-
-        // One price column per *distinct* hub (sites share metros), plus a
-        // site → column indirection. For a trivial embedding the distinct
-        // hubs are exactly the cluster-order hub ids, so the compiled
-        // table matches the flat simulation's byte for byte.
-        let mut distinct_hubs: Vec<HubId> = Vec::new();
-        let hub_row: Vec<usize> = (s0..s1)
-            .map(|s| {
-                let hub = topology.site_hub(s);
-                distinct_hubs.iter().position(|&h| h == hub).unwrap_or_else(|| {
-                    distinct_hubs.push(hub);
-                    distinct_hubs.len() - 1
-                })
-            })
-            .collect();
         let table = PriceTable::build(
             self.prices,
-            &distinct_hubs,
+            &plan.distinct_hubs,
             step_coverage(trace),
             self.config.reaction_delay_hours,
         );
 
-        let mut config = self.config.clone();
-        config.constraints = slice_constraints(&self.config.constraints, topology, region);
-        let mut engine = SimulationEngine::new(&region_clusters, states, config)
+        let config =
+            SimulationConfig { constraints: plan.constraints.clone(), ..self.config.clone() };
+        let mut engine = SimulationEngine::new(&plan.clusters, &plan.states, config)
             .with_clamped_lead_hours(table.clamped_lead_hours())
             .with_load_capacity(self.reservoir_capacity);
         let mut policy = make_policy();
 
         // Reused per-hour / per-epoch rows (no per-step allocation).
-        let mut delayed_row = vec![0.0f64; hub_row.len()];
-        let mut billing_row = vec![0.0f64; hub_row.len()];
-        let mut masked_demand = vec![0.0f64; states.len()];
+        let mut delayed_row = vec![0.0f64; plan.hub_row.len()];
+        let mut billing_row = vec![0.0f64; plan.hub_row.len()];
+        let mut owned_demand = vec![0.0f64; plan.states.len()];
         let n_steps = trace.num_steps();
         let mut i = 0;
         while i < n_steps {
@@ -211,28 +254,29 @@ impl<'a> HierarchicalReplay<'a> {
             if i == 0 || trace.step_hour(i - 1) != hour {
                 let delayed = table.delayed_at(hour).expect("table covers the trace");
                 let billing = table.billing_at(hour).expect("table covers the trace");
-                for (c, &row) in hub_row.iter().enumerate() {
+                for (c, &row) in plan.hub_row.iter().enumerate() {
                     delayed_row[c] = delayed[row];
                     billing_row[c] = billing[row];
                 }
             }
-            // The policy sees only the demand this region owns; it reads
+            // The policy sees only the states this region owns; it reads
             // demand only when it re-routes, at the epoch's first step.
-            for (d, (&owner, &demand)) in
-                masked_demand.iter_mut().zip(owners.iter().zip(&trace.steps()[i].us_demand))
-            {
-                *d = if owner == region { demand } else { 0.0 };
+            let demand = &trace.steps()[i].us_demand;
+            for (d, &j) in owned_demand.iter_mut().zip(&plan.state_idx) {
+                *d = demand[j];
             }
             let hour_end = (i..n_steps).find(|&j| trace.step_hour(j) != hour).unwrap_or(n_steps);
             i += engine.advance(
                 policy.as_mut(),
                 PriceSlice::new(hour, &delayed_row, &billing_row),
-                DemandSlice::new(&masked_demand),
+                DemandSlice::new(&owned_demand),
                 hour_end - i,
             );
         }
 
-        Some(ShardResult { report: engine.report(), state: engine.into_snapshot() })
+        let report = engine.report();
+        let EngineSnapshot { energy_wh, util_stats, .. } = engine.into_snapshot();
+        ShardResult { report, energy_wh, util_stats }
     }
 
     /// Fold shard results, in region index order, into one report.
@@ -250,7 +294,7 @@ impl<'a> HierarchicalReplay<'a> {
         let clusters: Vec<ClusterReport> =
             shards.iter().flat_map(|s| s.report.clusters.iter().cloned()).collect();
         let util_stats: Vec<OnlineStats> =
-            shards.iter().flat_map(|s| s.state.util_stats.iter().copied()).collect();
+            shards.iter().flat_map(|s| s.util_stats.iter().copied()).collect();
         let mut distances = DistanceHistogram::default_resolution();
         for shard in &shards {
             distances.merge(&shard.report.distances);
@@ -272,7 +316,7 @@ impl<'a> HierarchicalReplay<'a> {
             total_cost_dollars: clusters.iter().map(|c| c.cost_dollars).sum(),
             // Sum raw watt-hours, divide once — the flat engine's exact
             // arithmetic (summing per-site MWh rounds differently).
-            total_energy_mwh: shards.iter().flat_map(|s| &s.state.energy_wh).sum::<f64>() / 1.0e6,
+            total_energy_mwh: shards.iter().flat_map(|s| &s.energy_wh).sum::<f64>() / 1.0e6,
             total_overflow_hits: clusters.iter().map(|c| c.overflow_hits).sum(),
             total_rejected_hits: clusters.iter().map(|c| c.rejected_hits).sum(),
             total_bandwidth_binding_hours: clusters.iter().map(|c| c.bandwidth_binding_hours).sum(),
@@ -427,5 +471,76 @@ mod tests {
         let region_hits: f64 = tiers.regions.iter().map(|r| r.total_hits).sum();
         assert!((region_hits - site_hits).abs() / site_hits.max(1.0) < 1e-9);
         assert_eq!(tiers.regions.iter().map(|r| r.sites).sum::<usize>(), 45);
+    }
+
+    #[test]
+    fn a_region_that_owns_no_state_serves_nothing_and_idles() {
+        // The second region's only metro shares Chicago's hub with the
+        // first region, so it is never strictly nearer to any state:
+        // `assign_states` gives every state to the first region, and the
+        // second region's shard runs an engine over zero states.
+        use wattroute_energy::model::ClusterPowerModel;
+        use wattroute_geo::topology::TopologyBuilder;
+        use wattroute_workload::trace::STEP_SECONDS;
+        let mut b = TopologyBuilder::new();
+        b.add_region("MAIN");
+        for (metro, hub) in [
+            ("NYC", HubId::NewYorkNy),
+            ("CHI", HubId::ChicagoIl),
+            ("DAL", HubId::DallasTx),
+            ("SFO", HubId::PaloAltoCa),
+        ] {
+            b.add_metro(metro);
+            b.add_site(format!("{metro}-0"), hub, 400, 200.0);
+            b.add_site(format!("{metro}-1"), hub, 300, 200.0);
+        }
+        b.add_region("SHADOW");
+        b.add_metro("CHI-B");
+        b.add_site("CHI-B-0", HubId::ChicagoIl, 250, 200.0);
+        b.add_site("CHI-B-1", HubId::ChicagoIl, 150, 200.0);
+        let topology = b.build();
+        let range = short_range(30);
+        let trace = SyntheticWorkloadConfig::default().generate(range);
+        assert!(topology.assign_states(&trace.states).iter().all(|&r| r == 0));
+        let prices = PriceGenerator::new(MarketModel::calibrated(), 11).realtime_hourly(range);
+        // Re-route every step, so each step serves exactly its own demand.
+        let config = SimulationConfig::default();
+        let replay = HierarchicalReplay::new(&topology, &trace, &prices, config.clone());
+        let shadow = replay.regions[1].as_ref().expect("the second region has sites");
+        assert!(shadow.states.is_empty(), "its engine routes a zero-state allocation");
+
+        let sequential = replay.run(&pc_factory);
+        assert_eq!(sequential, replay.run_sharded(&pc_factory));
+        assert_eq!(sequential.to_json(), replay.run_sharded(&pc_factory).to_json());
+
+        // Every hit offered is served somewhere (no overflow rejects here).
+        let offered: f64 = trace
+            .steps()
+            .iter()
+            .map(|step| step.us_demand.iter().sum::<f64>() * STEP_SECONDS as f64)
+            .sum();
+        let served: f64 = sequential.clusters.iter().map(|c| c.total_hits).sum();
+        assert!((served - offered).abs() <= 1e-9 * offered, "{served} vs {offered}");
+        let tiers = sequential.tiers.as_ref().expect("a two-region tree reports tiers");
+        assert_eq!(tiers.regions[1].total_hits, 0.0);
+
+        let (s0, s1) = topology.region_sites(1);
+        let step_hours = STEP_SECONDS as f64 / 3600.0;
+        for site in s0..s1 {
+            let report = &sequential.clusters[site];
+            assert_eq!(report.total_hits, 0.0, "{}", report.label);
+            assert_eq!(report.peak_hits_per_sec, 0.0, "{}", report.label);
+            assert_eq!(report.mean_utilization, 0.0, "{}", report.label);
+            let idle_watts =
+                ClusterPowerModel::new(config.energy, topology.site_servers(site)).power_watts(0.0);
+            let idle_mwh = idle_watts * step_hours * trace.num_steps() as f64 / 1.0e6;
+            assert!(idle_mwh > 0.0);
+            assert!(
+                (report.energy_mwh - idle_mwh).abs() <= 1e-9 * idle_mwh,
+                "{}: {} MWh vs idle {idle_mwh} MWh",
+                report.label,
+                report.energy_mwh
+            );
+        }
     }
 }

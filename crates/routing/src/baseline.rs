@@ -64,7 +64,7 @@ impl RoutingPolicy for NearestClusterPolicy {
         ensure_compiled(&mut self.compiled, &mut self.own_geometry_builds, ctx);
         let compiled = self.compiled.as_ref().expect("compiled above");
         assign_by_preference_into(ctx, &mut self.workspace, out, |state_idx, _, buf| {
-            buf.extend(compiled.ranked(state_idx).iter().map(|(i, _)| *i));
+            buf.extend_from_slice(compiled.nearest_first(state_idx));
         });
     }
 
@@ -157,7 +157,7 @@ impl RoutingPolicy for AkamaiLikePolicy {
             &mut self.workspace,
             primary,
             |state_idx, _, buf| {
-                buf.extend(compiled.ranked(state_idx).iter().map(|(i, _)| *i));
+                buf.extend_from_slice(compiled.nearest_first(state_idx));
             },
         );
 
@@ -167,7 +167,7 @@ impl RoutingPolicy for AkamaiLikePolicy {
             &mut self.workspace,
             secondary,
             |state_idx, _, buf| {
-                buf.extend(compiled.ranked(state_idx).iter().map(|(i, _)| *i));
+                buf.extend_from_slice(compiled.nearest_first(state_idx));
                 if buf.len() > 1 {
                     buf.rotate_left(1); // prefer the second nearest first
                 }

@@ -132,8 +132,8 @@ impl RoutingPolicy for JointCostPolicy {
             let JointScratch { dist_by_cluster, scored } = scratch;
             dist_by_cluster.clear();
             dist_by_cluster.resize(n_clusters, 0.0);
-            for &(i, d) in compiled.ranked(state_idx) {
-                dist_by_cluster[i] = d;
+            for (run, d) in compiled.ranked(state_idx) {
+                dist_by_cluster[run].fill(d);
             }
             scored.clear();
             scored.extend(

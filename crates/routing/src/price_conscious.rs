@@ -16,6 +16,7 @@
 use crate::allocation::Allocation;
 use crate::policy::{assign_by_preference_into, AssignWorkspace, RoutingContext, RoutingPolicy};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 use wattroute_geo::distance::RankedHub;
 use wattroute_geo::{distance, hubs, HubId, UsState};
@@ -43,12 +44,14 @@ impl Default for PriceConsciousConfig {
 /// Distance-dependent candidate structure for one client state, derived
 /// once per (compiled geometry, distance threshold) and reused across
 /// reallocations. Prices change every routing decision; geography does not.
+/// Entries are *hub runs* of the compiled geometry (see
+/// [`CompiledPreferences`]), not single clusters.
 #[derive(Debug, Clone)]
 struct StateCandidates {
-    /// Clusters within the distance threshold (or the paper's nearest +
+    /// Hub runs within the distance threshold (or the paper's nearest +
     /// 50 km fallback set), sorted by ascending distance.
     candidates: Vec<RankedHub>,
-    /// The remaining clusters, sorted by ascending distance — the
+    /// The remaining hub runs, sorted by ascending distance — the
     /// last-resort overflow tail appended after the priced candidates.
     tail: Vec<usize>,
 }
@@ -64,6 +67,15 @@ struct StateCandidates {
 /// optimizer's geometry: for every client state, all clusters ranked by
 /// ascending population-weighted distance.
 ///
+/// The ranking is stored over *hub runs*: maximal ranges of consecutive
+/// clusters placed at the same hub. Every cluster of a run sits at the same
+/// distance from every state, so one distance per (state, run) is computed
+/// and the runs are stable-sorted by it. Expanding each run into its
+/// cluster indices reproduces the per-cluster stable sort exactly, because
+/// runs are contiguous and equidistant runs keep their start order. A flat
+/// deployment ([`ClusterSet::new`] forbids shared hubs) has one-cluster
+/// runs; a hierarchical region has one run per metro.
+///
 /// Depends only on the deployment's hub list and the client state list —
 /// not on the distance threshold and not on prices — so one compilation can
 /// be shared read-only (behind an [`Arc`]) by every run of a scenario sweep
@@ -75,8 +87,14 @@ struct StateCandidates {
 pub struct CompiledPreferences {
     hub_ids: Vec<HubId>,
     states: Vec<UsState>,
-    /// Per state: every cluster index with its distance, ascending.
+    /// Maximal ranges of consecutive clusters sharing a hub, in cluster
+    /// order.
+    runs: Vec<Range<usize>>,
+    /// Per state: every hub run index with its distance, ascending.
     ranked: Vec<Vec<RankedHub>>,
+    /// `ranked` expanded into cluster indices: `n_states × n_clusters`,
+    /// state-major — the order the distance-only baselines pour in.
+    nearest_first: Vec<usize>,
 }
 
 impl CompiledPreferences {
@@ -85,18 +103,34 @@ impl CompiledPreferences {
     pub fn build(clusters: &ClusterSet, states: &[UsState]) -> Self {
         wattroute_obs::counter!("routing.compiled_preferences.builds").inc();
         let hub_ids = clusters.hub_ids();
-        let hub_refs: Vec<&wattroute_geo::Hub> = hub_ids.iter().map(|id| hubs::hub(*id)).collect();
-        let ranked = states
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        for (c, hub) in hub_ids.iter().enumerate() {
+            match runs.last_mut() {
+                Some(run) if hub_ids[run.start] == *hub => run.end = c + 1,
+                _ => runs.push(c..c + 1),
+            }
+        }
+        let run_hubs: Vec<&wattroute_geo::Hub> =
+            runs.iter().map(|run| hubs::hub(hub_ids[run.start])).collect();
+        let ranked: Vec<Vec<RankedHub>> = states
             .iter()
-            .map(|&state| distance::hubs_within_threshold(state, &hub_refs, f64::INFINITY))
+            .map(|&state| distance::hubs_within_threshold(state, &run_hubs, f64::INFINITY))
             .collect();
-        Self { hub_ids, states: states.to_vec(), ranked }
+        let mut nearest_first = Vec::with_capacity(states.len() * hub_ids.len());
+        for state_runs in &ranked {
+            for &(run, _) in state_runs {
+                nearest_first.extend(runs[run].clone());
+            }
+        }
+        Self { hub_ids, states: states.to_vec(), runs, ranked, nearest_first }
     }
 
     /// Whether this compilation was built for the context's deployment hub
     /// list and state list.
     pub fn matches(&self, ctx: &RoutingContext<'_>) -> bool {
-        self.hub_ids == ctx.clusters.hub_ids() && self.states == ctx.states
+        self.hub_ids.len() == ctx.clusters.len()
+            && self.hub_ids.iter().zip(ctx.clusters.clusters()).all(|(&h, c)| h == c.hub)
+            && self.states == ctx.states
     }
 
     /// The hub list this geometry was compiled for, in cluster order.
@@ -119,19 +153,28 @@ impl CompiledPreferences {
         wattroute_obs::counter!("routing.compiled_preferences.builds").get() as usize
     }
 
-    /// Ranked `(cluster index, distance)` pairs for one client state,
-    /// ascending by distance. Stable-sorted from cluster-index order, so
-    /// equidistant clusters keep their deployment order — the same
-    /// tie-break every in-crate distance sort uses, which is what lets the
-    /// baselines and extension policies ride this geometry bit-identically.
-    pub(crate) fn ranked(&self, state_idx: usize) -> &[RankedHub] {
-        &self.ranked[state_idx]
+    /// Ranked `(cluster range, distance)` pairs for one client state,
+    /// ascending by distance: the state's hub runs in ranked order.
+    pub(crate) fn ranked(
+        &self,
+        state_idx: usize,
+    ) -> impl Iterator<Item = (Range<usize>, f64)> + '_ {
+        self.ranked[state_idx].iter().map(|&(run, d)| (self.runs[run].clone(), d))
+    }
+
+    /// Every cluster index for one client state, nearest first: the ranked
+    /// hub runs expanded. Equidistant clusters keep their deployment
+    /// order — the same tie-break every in-crate distance sort uses, which
+    /// is what lets the baselines ride this geometry bit-identically.
+    pub(crate) fn nearest_first(&self, state_idx: usize) -> &[usize] {
+        let n = self.hub_ids.len();
+        &self.nearest_first[state_idx * n..(state_idx + 1) * n]
     }
 
     /// Derive the per-threshold candidate/tail split from the ranked
-    /// geometry: candidates are the clusters within `threshold_km` (with
+    /// geometry: candidates are the hub runs within `threshold_km` (with
     /// the paper's nearest + 50 km fallback when none are), the tail is
-    /// every other cluster, both in ascending-distance order.
+    /// every other run, both in ascending-distance order.
     fn threshold_split(&self, threshold_km: f64) -> Vec<StateCandidates> {
         self.ranked
             .iter()
@@ -147,8 +190,8 @@ impl CompiledPreferences {
                 };
                 let tail = ranked
                     .iter()
-                    .filter(|(i, _)| !candidates.iter().any(|(c, _)| c == i))
-                    .map(|(i, _)| *i)
+                    .filter(|(r, _)| !candidates.iter().any(|(c, _)| c == r))
+                    .map(|(r, _)| *r)
                     .collect();
                 StateCandidates { candidates, tail }
             })
@@ -183,12 +226,44 @@ struct ThresholdSplit {
 }
 
 /// Reusable re-ranking scratch: the cheap-set/rest partition buffers the
-/// per-state price ranking is built in. Owned by the policy so steady-state
-/// reallocation allocates nothing.
+/// per-state price ranking is built in, as `(price run, distance)` pairs.
+/// Owned by the policy so steady-state reallocation allocates nothing.
 #[derive(Debug, Clone, Default)]
 struct RankScratch {
     cheap: Vec<RankedHub>,
     rest: Vec<RankedHub>,
+}
+
+/// The compiled hub runs re-split under one price row: maximal ranges of
+/// consecutive clusters sharing a hub *and* a bitwise-equal price. Every
+/// cluster of a price run has the same price and the same distance from
+/// every state, so the ranking sorts price runs and expands them.
+#[derive(Debug, Clone, Default)]
+struct PriceRuns {
+    /// Cluster ranges, in cluster order.
+    runs: Vec<Range<usize>>,
+    /// Per hub run: the range of `runs` it splits into.
+    of_hub_run: Vec<Range<usize>>,
+}
+
+impl PriceRuns {
+    /// Re-split `hub_runs` under `prices`, in O(n_clusters).
+    fn split(&mut self, hub_runs: &[Range<usize>], prices: &[f64]) {
+        self.runs.clear();
+        self.of_hub_run.clear();
+        for hub_run in hub_runs {
+            let first = self.runs.len();
+            let mut start = hub_run.start;
+            for c in hub_run.start + 1..hub_run.end {
+                if prices[c].to_bits() != prices[start].to_bits() {
+                    self.runs.push(start..c);
+                    start = c;
+                }
+            }
+            self.runs.push(start..hub_run.end);
+            self.of_hub_run.push(first..self.runs.len());
+        }
+    }
 }
 
 /// Per-state preference orders, valid for one price row under one
@@ -198,11 +273,12 @@ struct RankScratch {
 /// has to run again.
 ///
 /// Slots fill lazily, when the pour asks for a state's order, so states
-/// with no demand this row (every state a hierarchy shard does not own) are
-/// never ranked. The key is exactly the ranking's inputs besides the
-/// geometry — the price row and both thresholds, compared bitwise — and the
-/// policy clears the cache whenever it re-derives the threshold split, which
-/// every geometry change (a recompile or an attach) forces.
+/// with no demand this row are never ranked. The key is exactly the
+/// ranking's inputs besides the geometry — the price row and both
+/// thresholds, compared bitwise — and the policy clears the cache whenever
+/// it re-derives the threshold split, which every geometry change (a
+/// recompile or an attach) forces. Each re-key also re-splits the price
+/// runs the row ranks over.
 #[derive(Debug, Clone, Default)]
 struct RankCache {
     /// Bit patterns of the price row the slots were ranked under.
@@ -212,6 +288,8 @@ struct RankCache {
     /// Whether the key above is set; `false` until the first call and
     /// after [`Self::clear`].
     keyed: bool,
+    /// The compiled hub runs split under the keyed price row.
+    price_runs: PriceRuns,
     /// `n_states × n_clusters` preference orders, state-major.
     orders: Vec<usize>,
     /// Per state: whether its slot in `orders` holds the keyed ranking.
@@ -226,7 +304,12 @@ impl RankCache {
 
     /// Make the cache valid for this call's price row and configuration,
     /// returning whether it already was (a hit).
-    fn key(&mut self, config: &PriceConsciousConfig, prices: &[f64], n_states: usize) -> bool {
+    fn key(
+        &mut self,
+        config: &PriceConsciousConfig,
+        prices: &[f64],
+        compiled: &CompiledPreferences,
+    ) -> bool {
         let config = (config.distance_threshold_km.to_bits(), config.price_threshold.to_bits());
         if self.keyed
             && self.config == config
@@ -239,6 +322,8 @@ impl RankCache {
         self.prices.extend(prices.iter().map(|p| p.to_bits()));
         self.config = config;
         self.keyed = true;
+        self.price_runs.split(&compiled.runs, prices);
+        let n_states = compiled.states.len();
         self.orders.resize(n_states * prices.len(), 0);
         self.filled.clear();
         self.filled.resize(n_states, false);
@@ -316,11 +401,14 @@ impl PriceConsciousPolicy {
 /// distance, followed by the remaining clusters by distance (so capacity
 /// overflow degrades gracefully rather than arbitrarily). The
 /// distance-dependent parts come precomputed in `entry`; only the
-/// price-dependent ranking happens per reallocation, entirely in the
-/// caller's reused `scratch`/`out` buffers.
+/// price-dependent ranking happens per reallocation, over price runs rather
+/// than single clusters, entirely in the caller's reused `scratch`/`out`
+/// buffers.
 fn preference_order_into(
     config: &PriceConsciousConfig,
     prices: &[f64],
+    hub_runs: &[Range<usize>],
+    price_runs: &PriceRuns,
     entry: &StateCandidates,
     scratch: &mut RankScratch,
     out: &mut Vec<usize>,
@@ -330,30 +418,41 @@ fn preference_order_into(
     // among these the nearest wins, because sub-threshold differentials
     // are ignored) and the remainder, ordered by price then distance.
     // Doing it in two stages, rather than with a price-or-distance
-    // comparator, keeps the ordering a total order.
-    let cheapest = entry.candidates.iter().map(|(i, _)| prices[*i]).fold(f64::INFINITY, f64::min);
+    // comparator, keeps the ordering a total order. A run's price is its
+    // first cluster's: every cluster in it carries the same bits.
+    let run_price = |p: usize| prices[price_runs.runs[p].start];
+    let candidates = entry
+        .candidates
+        .iter()
+        .flat_map(|&(r, d)| price_runs.of_hub_run[r].clone().map(move |p| (p, d)));
+    let cheapest = candidates.clone().map(|(p, _)| run_price(p)).fold(f64::INFINITY, f64::min);
     scratch.cheap.clear();
     scratch.rest.clear();
-    for &(i, d) in &entry.candidates {
-        if prices[i] <= cheapest + config.price_threshold {
-            scratch.cheap.push((i, d));
+    for (p, d) in candidates {
+        if run_price(p) <= cheapest + config.price_threshold {
+            scratch.cheap.push((p, d));
         } else {
-            scratch.rest.push((i, d));
+            scratch.rest.push((p, d));
         }
     }
-    // `candidates` is pre-sorted by distance, so `cheap` (a stable
-    // partition of it) already is too.
-    scratch.rest.sort_by(|(ia, da), (ib, db)| {
-        prices[*ia]
-            .partial_cmp(&prices[*ib])
+    // `candidates` is pre-sorted by distance (ties in cluster order), so
+    // `cheap` (a stable partition of it) already is too; the stable sort
+    // keeps equal-key runs in cluster order, as a per-cluster sort would.
+    scratch.rest.sort_by(|(pa, da), (pb, db)| {
+        run_price(*pa)
+            .partial_cmp(&run_price(*pb))
             .expect("finite prices")
             .then(da.partial_cmp(db).expect("finite distances"))
     });
 
-    out.extend(scratch.cheap.iter().chain(scratch.rest.iter()).map(|(i, _)| *i));
+    for &(p, _) in scratch.cheap.iter().chain(&scratch.rest) {
+        out.extend(price_runs.runs[p].clone());
+    }
     // The out-of-threshold clusters, by distance, as a last resort for
     // overflow.
-    out.extend_from_slice(&entry.tail);
+    for &r in &entry.tail {
+        out.extend(hub_runs[r].clone());
+    }
 }
 
 impl RoutingPolicy for PriceConsciousPolicy {
@@ -380,7 +479,8 @@ impl RoutingPolicy for PriceConsciousPolicy {
             });
             self.ranks.clear();
         }
-        let hit = self.ranks.key(&self.config, ctx.prices, ctx.states.len());
+        let compiled = self.compiled.as_ref().expect("compiled above");
+        let hit = self.ranks.key(&self.config, ctx.prices, compiled);
         if wattroute_obs::Telemetry::enabled() {
             if hit {
                 wattroute_obs::counter!("routing.rank_cache.hits").inc();
@@ -388,7 +488,8 @@ impl RoutingPolicy for PriceConsciousPolicy {
                 wattroute_obs::counter!("routing.rank_cache.misses").inc();
             }
         }
-        let Self { config, split, workspace, scratch, ranks, .. } = self;
+        let Self { config, compiled, split, workspace, scratch, ranks, .. } = self;
+        let hub_runs = &compiled.as_ref().expect("compiled above").runs;
         let split = split.as_ref().expect("derived above");
         let n_clusters = ctx.clusters.len();
         // The pour runs every call (demand moves every step); a state's
@@ -399,7 +500,10 @@ impl RoutingPolicy for PriceConsciousPolicy {
                 buf.extend_from_slice(slot);
             } else {
                 let entry = &split.per_state[state_idx];
-                preference_order_into(config, ctx.prices, entry, scratch, buf);
+                let price_runs = &ranks.price_runs;
+                preference_order_into(
+                    config, ctx.prices, hub_runs, price_runs, entry, scratch, buf,
+                );
                 slot.copy_from_slice(buf);
                 ranks.filled[state_idx] = true;
             }

@@ -4,14 +4,15 @@
 //! ceilings) is always served in full without overrunning any ceiling.
 
 use proptest::prelude::*;
-use wattroute_geo::UsState;
+use wattroute_geo::distance::RankedHub;
+use wattroute_geo::{distance, hubs, HubId, UsState};
 use wattroute_market::time::SimHour;
 use wattroute_routing::allocation::Allocation;
 use wattroute_routing::baseline::{NearestClusterPolicy, StaticCheapestPolicy};
 use wattroute_routing::constraints::{ConstraintSet, OverflowMode};
-use wattroute_routing::policy::{RoutingContext, RoutingPolicy};
+use wattroute_routing::policy::{assign_by_preference, RoutingContext, RoutingPolicy};
 use wattroute_routing::price_conscious::{PriceConsciousConfig, PriceConsciousPolicy};
-use wattroute_workload::ClusterSet;
+use wattroute_workload::{Cluster, ClusterSet};
 
 const N_CLUSTERS: usize = 9;
 
@@ -95,6 +96,119 @@ fn scale_demand(weights: &[f64], ceiling_total: f64, fill: f64) -> Vec<f64> {
     }
     let scale = ceiling_total * fill / sum;
     weights.iter().map(|w| w * scale).collect()
+}
+
+/// Hubs a shared-hub deployment draws from: Newark sits within 50 km of
+/// New York, so the nearest + 50 km fallback can pick up two hubs.
+const HUB_POOL: [HubId; 6] = [
+    HubId::BostonMa,
+    HubId::NewYorkNy,
+    HubId::NewarkNj,
+    HubId::ChicagoIl,
+    HubId::AustinTx,
+    HubId::PaloAltoCa,
+];
+
+/// Most clusters a shared-hub deployment can hold (8 runs of up to 3).
+const MAX_SHARED_CLUSTERS: usize = 24;
+
+/// A deployment of 2–8 runs of 1–3 consecutive clusters at one pool hub.
+/// Hubs repeat, both adjacently (merging into one longer run) and at
+/// non-adjacent positions (distinct runs at exactly equal distance).
+fn shared_hub_deployment() -> impl Strategy<Value = ClusterSet> {
+    prop::collection::vec((0..HUB_POOL.len(), 1usize..4, 20u32..400), 2..9).prop_map(|runs| {
+        let clusters = runs
+            .iter()
+            .flat_map(|&(hub, len, servers)| std::iter::repeat((HUB_POOL[hub], servers)).take(len))
+            .enumerate()
+            .map(|(i, (hub, servers))| Cluster {
+                label: format!("S{i}"),
+                hub,
+                servers: servers + 7 * i as u32,
+                hits_per_server_per_sec: 100.0,
+                public: true,
+            })
+            .collect();
+        ClusterSet::with_shared_hubs(clusters)
+    })
+}
+
+/// One price row over a shared-hub deployment, as `(own, hub prices)`:
+/// each cluster carries its hub's price (drawn from a small set, so
+/// distinct hubs tie and differ by less than a price threshold) unless it
+/// draws a price of its own, so clusters at one hub sometimes carry
+/// different prices.
+fn shared_hub_row() -> impl Strategy<Value = (Vec<Option<f64>>, Vec<f64>)> {
+    let own = (0.0f64..1.0, -20.0f64..200.0).prop_map(|(u, price)| (u < 0.3).then_some(price));
+    let hub_price = prop::sample::select(vec![20.0, 30.0, 33.0, 50.0, 80.0]);
+    (
+        prop::collection::vec(own, MAX_SHARED_CLUSTERS..MAX_SHARED_CLUSTERS + 1),
+        prop::collection::vec(hub_price, HUB_POOL.len()..HUB_POOL.len() + 1),
+    )
+}
+
+/// Resolve a drawn row against a deployment: a cluster without a price of
+/// its own takes its hub's.
+fn resolve_row(
+    clusters: &ClusterSet,
+    (own, hub_prices): &(Vec<Option<f64>>, Vec<f64>),
+) -> Vec<f64> {
+    clusters
+        .clusters()
+        .iter()
+        .zip(own)
+        .map(|(c, own)| {
+            own.unwrap_or_else(|| {
+                hub_prices[HUB_POOL.iter().position(|&h| h == c.hub).expect("pool hub")]
+            })
+        })
+        .collect()
+}
+
+/// The price-conscious allocation as the per-site ranking computed it
+/// before hub runs: every cluster ranked by its own distance, the
+/// threshold split and the price ordering over single clusters. Kept
+/// verbatim as the reference the run-ranked policy must reproduce.
+fn per_site_reference(ctx: &RoutingContext<'_>, config: &PriceConsciousConfig) -> Allocation {
+    let hub_refs: Vec<&wattroute_geo::Hub> =
+        ctx.clusters.hub_ids().iter().map(|id| hubs::hub(*id)).collect();
+    let prices = ctx.prices;
+    assign_by_preference(ctx, |_, state| {
+        let ranked = distance::hubs_within_threshold(state, &hub_refs, f64::INFINITY);
+        let threshold_km = config.distance_threshold_km;
+        let within: Vec<RankedHub> =
+            ranked.iter().copied().filter(|(_, d)| *d <= threshold_km).collect();
+        let candidates = if !within.is_empty() || ranked.is_empty() {
+            within
+        } else {
+            let nearest = ranked[0].1;
+            ranked.iter().copied().filter(|(_, d)| *d <= nearest + 50.0).collect()
+        };
+        let tail: Vec<usize> = ranked
+            .iter()
+            .filter(|(i, _)| !candidates.iter().any(|(c, _)| c == i))
+            .map(|(i, _)| *i)
+            .collect();
+        let cheapest = candidates.iter().map(|(i, _)| prices[*i]).fold(f64::INFINITY, f64::min);
+        let mut cheap = Vec::new();
+        let mut rest = Vec::new();
+        for &(i, d) in &candidates {
+            if prices[i] <= cheapest + config.price_threshold {
+                cheap.push((i, d));
+            } else {
+                rest.push((i, d));
+            }
+        }
+        rest.sort_by(|(ia, da), (ib, db)| {
+            prices[*ia]
+                .partial_cmp(&prices[*ib])
+                .expect("finite prices")
+                .then(da.partial_cmp(db).expect("finite distances"))
+        });
+        let mut out: Vec<usize> = cheap.iter().chain(rest.iter()).map(|(i, _)| *i).collect();
+        out.extend_from_slice(&tail);
+        out
+    })
 }
 
 proptest! {
@@ -307,6 +421,49 @@ proptest! {
                     i,
                     call.row,
                     config
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_ranking_matches_the_per_site_reference_bit_for_bit(
+        clusters in shared_hub_deployment(),
+        rows in prop::collection::vec(shared_hub_row(), 1..4),
+        demand in (sparse_demand_weights(), 0.05f64..1.3),
+        configs in prop::collection::vec(
+            (
+                prop::sample::select(vec![0.0, 1500.0, 50_000.0]),
+                prop::sample::select(vec![0.0, 5.0, 25.0]),
+            ),
+            1..4,
+        ),
+    ) {
+        // One long-lived policy routes every drawn row (and the first row
+        // again, off its rank cache) under every drawn configuration into
+        // one reused allocation; each answer must equal the per-site
+        // reference for that call, bit for bit.
+        let states = states();
+        let total_cap: f64 =
+            clusters.clusters().iter().map(|c| c.capacity_hits_per_sec()).sum();
+        let demand = scale_demand(&demand.0, total_cap, demand.1);
+        let rows: Vec<Vec<f64>> = rows.iter().map(|row| resolve_row(&clusters, row)).collect();
+        let mut policy = PriceConsciousPolicy::default();
+        let mut out = Allocation::default();
+        for (r, prices) in rows.iter().chain(rows.first()).enumerate() {
+            let ctx = RoutingContext::new(&clusters, &states, &demand, prices, SimHour(0));
+            for &(distance_threshold_km, price_threshold) in &configs {
+                let config = PriceConsciousConfig { distance_threshold_km, price_threshold };
+                policy.config = config;
+                policy.allocate_into(&mut out, &ctx);
+                let reference = per_site_reference(&ctx, &config);
+                prop_assert_eq!(
+                    bits(&out),
+                    bits(&reference),
+                    "row {} {:?} over hubs {:?}",
+                    r,
+                    config,
+                    clusters.hub_ids()
                 );
             }
         }
